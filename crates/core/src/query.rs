@@ -1436,6 +1436,12 @@ impl Selection {
         self.bits.iter().map(|w| w.count_ones() as usize).sum()
     }
 
+    /// The selection as bitmap words: bit `i % 64` of word `i / 64` is
+    /// row `i`, tail bits clear.
+    pub fn words(&self) -> &[u64] {
+        &self.bits
+    }
+
     /// Iterate the selected row indices in increasing order.
     pub fn ones(&self) -> impl Iterator<Item = usize> + '_ {
         self.bits.iter().enumerate().flat_map(|(wi, w)| {
@@ -1467,6 +1473,7 @@ impl Selection {
 pub struct BatchScratch {
     pool: Vec<Vec<u64>>,
     ids: Vec<u32>,
+    names: Vec<&'static str>,
 }
 
 impl BatchScratch {
@@ -1511,10 +1518,19 @@ fn fill_ones(out: &mut [u64], len: usize) {
 /// Resolve which dictionary indices match any of the leaf's interned
 /// strings, into `ids` (cleared first).  O(dict × leaf) string compares,
 /// paid once per batch per leaf — per-row work is then integer equality.
-fn resolve_dict_ids(dict: &[String], syms: &[Sym], ids: &mut Vec<u32>) {
+/// The leaf's strings are resolved into `names` once, not once per
+/// dictionary entry (each [`Sym::as_str`] takes the intern table's lock).
+fn resolve_dict_ids(
+    dict: &[String],
+    syms: &[Sym],
+    names: &mut Vec<&'static str>,
+    ids: &mut Vec<u32>,
+) {
     ids.clear();
+    names.clear();
+    names.extend(syms.iter().map(|s| s.as_str()));
     for (i, entry) in dict.iter().enumerate() {
-        if syms.iter().any(|s| s.as_str() == entry.as_str()) {
+        if names.contains(&entry.as_str()) {
             ids.push(i as u32);
         }
     }
@@ -1608,14 +1624,14 @@ fn eval_node_batch(
         }
         Node::Types(ts) => {
             let mut ids = std::mem::take(&mut scratch.ids);
-            resolve_dict_ids(b.dict, ts, &mut ids);
+            resolve_dict_ids(b.dict, ts, &mut scratch.names, &mut ids);
             fill_id_match(out, len, b.type_ids, &ids);
             scratch.ids = ids;
             true
         }
         Node::Hosts(hs) => {
             let mut ids = std::mem::take(&mut scratch.ids);
-            resolve_dict_ids(b.dict, hs, &mut ids);
+            resolve_dict_ids(b.dict, hs, &mut scratch.names, &mut ids);
             fill_id_match(out, len, b.host_ids, &ids);
             scratch.ids = ids;
             true
@@ -1724,14 +1740,14 @@ impl Facts {
         let mut tmp = scratch.take_buf(out.len());
         let mut ids = std::mem::take(&mut scratch.ids);
         if let Some(types) = &self.types {
-            resolve_dict_ids(batch.dict, types, &mut ids);
+            resolve_dict_ids(batch.dict, types, &mut scratch.names, &mut ids);
             fill_id_match(&mut tmp, len, batch.type_ids, &ids);
             for (o, t) in out.iter_mut().zip(tmp.iter()) {
                 *o &= *t;
             }
         }
         if let Some(hosts) = &self.hosts {
-            resolve_dict_ids(batch.dict, hosts, &mut ids);
+            resolve_dict_ids(batch.dict, hosts, &mut scratch.names, &mut ids);
             fill_id_match(&mut tmp, len, batch.host_ids, &ids);
             for (o, t) in out.iter_mut().zip(tmp.iter()) {
                 *o &= *t;
@@ -1845,8 +1861,12 @@ impl Aggregator {
     }
 
     /// Fold one already-interned observation in (the publish-path fast
-    /// lane: the gateway has interned host and type once per event).
+    /// lane: the gateway has interned host and type once per event).  The
+    /// group key keeps only what the spec groups by, so callers may pass
+    /// the full series identity.
     pub fn observe(&mut self, host: Option<Sym>, ty: Option<Sym>, ts: u64, value: Option<f64>) {
+        let host = host.filter(|_| self.spec.group_by.contains(&GroupKey::Host));
+        let ty = ty.filter(|_| self.spec.group_by.contains(&GroupKey::Type));
         let g = self.groups.entry((host, ty)).or_default();
         g.count += 1;
         if let Some(v) = value {
@@ -2506,5 +2526,24 @@ mod tests {
         assert_eq!(rows[0].event_type.unwrap().as_str(), "B");
         assert_eq!(rows[0].count, 2);
         assert_eq!(rows[0].mean, None);
+    }
+
+    #[test]
+    fn observe_keys_groups_like_push() {
+        // The publish path hands over the full series identity; the group
+        // key must still keep only what the spec groups by.
+        let spec = AggregateSpec {
+            group_by: vec![GroupKey::Host],
+            top_k: None,
+            rate_window_micros: None,
+        };
+        let (mut pushed, mut observed) = (Aggregator::new(spec.clone()), Aggregator::new(spec));
+        for (ty, v) in [("A", 1.0), ("B", 3.0), ("A", 5.0)] {
+            let r = rec("h", ty, Some(v));
+            pushed.push(&r);
+            observed.observe(Some(Sym::intern("h")), Some(Sym::intern(ty)), 0, Some(v));
+        }
+        assert_eq!(observed.len(), 1, "one group per host");
+        assert_eq!(observed.rows(0), pushed.rows(0));
     }
 }

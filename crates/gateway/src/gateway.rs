@@ -45,12 +45,12 @@ use jamm_core::sync::RwLock;
 use jamm_ulm::{keys, Event, SharedEvent, Timestamp};
 
 use jamm_auth::acl::{AccessControlList, Action};
-use jamm_core::query::{Plan, Predicate};
+use jamm_core::query::{Facts, Plan, Predicate};
 
 use crate::filter::{EventFilter, FilterChain};
 use crate::qos::{QosConfig, QosRuntime, QosSnapshot, Tier, TierRow};
 use crate::routing::{RouteOutcome, ShardReport, ShardedRouter, DEFAULT_GATEWAY_SHARDS};
-use crate::summary::{ShardedSummaryEngine, SummaryWindow};
+use crate::summary::{pinned_series, series_admitted, ShardedSummaryEngine, SummaryWindow};
 use crate::{GatewayError, Result};
 
 /// Default bound on a subscription's in-flight event queue.
@@ -861,15 +861,32 @@ impl EventGateway {
     /// one plan answers the live cache here, the summaries, and the
     /// archive's historical scan.  Returned handles share the cached
     /// events; nothing is copied.
+    ///
+    /// The plan's host and type facts are pushed down: when they pin both,
+    /// only those series are looked up; otherwise series the facts exclude
+    /// are skipped by key before the plan runs.
     pub fn query_matching(&self, consumer: &str, plan: &Plan) -> Result<Vec<SharedEvent>> {
         self.check(consumer, Action::Query)?;
         self.stats.queries.fetch_add(1, Ordering::Relaxed);
+        let facts = plan.facts();
         let mut out: Vec<SharedEvent> = Vec::new();
-        for shard in &self.latest {
-            let shard = shard.read();
-            for event in shard.values() {
-                if plan.eval(&**event) {
-                    out.push(SharedEvent::clone(event));
+        match pinned_series(facts) {
+            Some(keys) => {
+                for key in keys {
+                    let shard = self.latest_shard(key.0, key.1).read();
+                    if let Some(event) = shard.get(&key).filter(|e| plan.eval(&***e)) {
+                        out.push(SharedEvent::clone(event));
+                    }
+                }
+            }
+            None => {
+                for shard in &self.latest {
+                    let shard = shard.read();
+                    for ((host, ty), event) in shard.iter() {
+                        if series_admitted(facts, *host, *ty) && plan.eval(&**event) {
+                            out.push(SharedEvent::clone(event));
+                        }
+                    }
                 }
             }
         }
@@ -880,10 +897,26 @@ impl EventGateway {
     /// Summary data for consumers entitled to summaries only (or anyone who
     /// prefers them): one synthetic event per tracked series per window.
     pub fn summaries(&self, consumer: &str, now: Timestamp) -> Result<Vec<Event>> {
+        self.summaries_matching(consumer, &Facts::default(), now)
+    }
+
+    /// [`EventGateway::summaries`] for the series a query's facts admit
+    /// ([`series_admitted`]): the facade's summary leg.  Series the facts
+    /// pin are looked up rather than every series being summarised and
+    /// filtered afterwards.
+    pub fn summaries_matching(
+        &self,
+        consumer: &str,
+        facts: &Facts,
+        now: Timestamp,
+    ) -> Result<Vec<Event>> {
         self.check(consumer, Action::Summary)?;
-        Ok(self
-            .summaries
-            .summary_events(&self.config.summary_windows, now, &self.config.name))
+        Ok(self.summaries.summary_events_matching(
+            &self.config.summary_windows,
+            facts,
+            now,
+            &self.config.name,
+        ))
     }
 
     /// Register a continuous query: `text` is parsed, compiled, and from

@@ -9,6 +9,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use jamm_core::intern::Sym;
+use jamm_core::query::Facts;
 use jamm_core::sync::Mutex;
 use jamm_ulm::{keys, Event, Level, Timestamp};
 
@@ -175,44 +176,33 @@ impl SummaryEngine {
 
     /// Produce summary *events* for every tracked series and every requested
     /// window — this is what the gateway hands to consumers who are only
-    /// entitled to (or only want) summary data.
+    /// entitled to (or only want) summary data.  Ordered by (host, event
+    /// type) name, with the windows in the order requested.
     pub fn summary_events(
         &self,
         windows: &[SummaryWindow],
         now: Timestamp,
         gateway_name: &str,
     ) -> Vec<Event> {
-        let mut rows = self.summary_rows(windows, now, gateway_name);
-        rows.sort_by(|a, b| a.0.cmp(&b.0));
-        rows.into_iter().flat_map(|(_, events)| events).collect()
-    }
-
-    /// One row per tracked series, unsorted: the resolved series key plus
-    /// its summary events for the requested windows (in window order).
-    /// The sharded engine collects these under one lock per shard and
-    /// merge-sorts across shards.  Keys are resolved to strings here (the
-    /// cold path) so the cross-shard ordering matches the seed-era
-    /// string-keyed output exactly.
-    fn summary_rows(
-        &self,
-        windows: &[SummaryWindow],
-        now: Timestamp,
-        gateway_name: &str,
-    ) -> Vec<((&'static str, &'static str), Vec<Event>)> {
-        self.series
-            .iter()
-            .map(|((host, ty), series)| {
-                let (host, ty) = (host.as_str(), ty.as_str());
-                let events = windows
-                    .iter()
-                    .filter_map(|w| {
-                        summarize(series, *w, now)
-                            .map(|s| summary_event(gateway_name, host, ty, &s, now))
-                    })
-                    .collect();
-                ((host, ty), events)
-            })
-            .collect()
+        let mut named: Vec<(&'static str, &'static str, Sym, Sym)> = self
+            .series
+            .keys()
+            .map(|&(h, t)| (h.as_str(), t.as_str(), h, t))
+            .collect();
+        named.sort_unstable();
+        let mut out = Vec::with_capacity(named.len());
+        for (host, ty, h, t) in named {
+            let series = &self.series[&(h, t)];
+            out.extend(summary_events_of(
+                series,
+                windows,
+                now,
+                gateway_name,
+                host,
+                ty,
+            ));
+        }
+        out
     }
 
     /// Number of (host, event type) series being tracked.
@@ -227,7 +217,7 @@ impl SummaryEngine {
 ///
 /// One series always lands in one shard, so per-series computations are
 /// exactly those of a single [`SummaryEngine`]; only the cross-series
-/// aggregation ([`ShardedSummaryEngine::summary_events`]) has to merge.
+/// listing ([`ShardedSummaryEngine::summary_events`]) visits every shard.
 ///
 /// ```
 /// use jamm_gateway::summary::{ShardedSummaryEngine, SummaryWindow};
@@ -250,6 +240,46 @@ impl SummaryEngine {
 #[derive(Debug)]
 pub struct ShardedSummaryEngine {
     shards: Vec<Mutex<SummaryEngine>>,
+}
+
+/// One series' summary events for the requested windows, in window order
+/// (windows holding no reading are skipped).
+fn summary_events_of<'a>(
+    series: &'a VecDeque<(Timestamp, f64)>,
+    windows: &'a [SummaryWindow],
+    now: Timestamp,
+    gateway_name: &'a str,
+    host: &'a str,
+    ty: &'a str,
+) -> impl Iterator<Item = Event> + 'a {
+    windows.iter().filter_map(move |w| {
+        summarize(series, *w, now).map(|s| summary_event(gateway_name, host, ty, &s, now))
+    })
+}
+
+/// Does series `(host, ty)` answer a query's host and type facts?  This is
+/// how summaries (and the gateway's query cache) are matched against a
+/// query-plane plan: a summary event of `CPU_TOTAL` answers
+/// `(type=CPU_TOTAL)` although its own event type is
+/// `CPU_TOTAL_AVG_1MIN`.  Time bounds and severity floors are about raw
+/// events, not rollups, and are not applied.
+pub fn series_admitted(facts: &Facts, host: Sym, ty: Sym) -> bool {
+    facts.hosts.as_ref().is_none_or(|hs| hs.contains(&host))
+        && facts.types.as_ref().is_none_or(|ts| ts.contains(&ty))
+}
+
+/// The `(host, type)` series keys the facts pin when they constrain both
+/// hosts and types, deduplicated and sorted: the only series such a query
+/// can touch, looked up instead of scanned for.
+pub(crate) fn pinned_series(facts: &Facts) -> Option<Vec<(Sym, Sym)>> {
+    let (hosts, types) = (facts.hosts.as_ref()?, facts.types.as_ref()?);
+    let mut keys: Vec<(Sym, Sym)> = hosts
+        .iter()
+        .flat_map(|h| types.iter().map(move |t| (*h, *t)))
+        .collect();
+    keys.sort_unstable();
+    keys.dedup();
+    Some(keys)
 }
 
 /// Compute one window's statistics over a time-ordered reading series.
@@ -368,20 +398,64 @@ impl ShardedSummaryEngine {
     /// window, across all shards, ordered by (host, event type) with the
     /// windows in the order requested — the same output a single
     /// [`SummaryEngine::summary_events`] fed the same readings produces.
-    /// Each shard is locked exactly once.
     pub fn summary_events(
         &self,
         windows: &[SummaryWindow],
         now: Timestamp,
         gateway_name: &str,
     ) -> Vec<Event> {
-        let mut rows: Vec<((&'static str, &'static str), Vec<Event>)> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.lock().summary_rows(windows, now, gateway_name))
+        self.summary_events_matching(windows, &Facts::default(), now, gateway_name)
+    }
+
+    /// [`ShardedSummaryEngine::summary_events`] restricted to the series a
+    /// query's facts admit ([`series_admitted`]).  When the facts pin both
+    /// hosts and types only those series are looked up; otherwise each
+    /// shard's series keys are filtered.  Only admitted series are
+    /// summarised, in (host, event type) order, each under its own shard's
+    /// lock.
+    pub fn summary_events_matching(
+        &self,
+        windows: &[SummaryWindow],
+        facts: &Facts,
+        now: Timestamp,
+        gateway_name: &str,
+    ) -> Vec<Event> {
+        let keys: Vec<(Sym, Sym)> = match pinned_series(facts) {
+            Some(keys) => keys,
+            None => self
+                .shards
+                .iter()
+                .flat_map(|s| {
+                    s.lock()
+                        .series
+                        .keys()
+                        .filter(|(h, t)| series_admitted(facts, *h, *t))
+                        .copied()
+                        .collect::<Vec<_>>()
+                })
+                .collect(),
+        };
+        // Resolve names once per series, not once per comparison.
+        let mut named: Vec<(&'static str, &'static str, Sym, Sym)> = keys
+            .into_iter()
+            .map(|(h, t)| (h.as_str(), t.as_str(), h, t))
             .collect();
-        rows.sort_by(|a, b| a.0.cmp(&b.0));
-        rows.into_iter().flat_map(|(_, events)| events).collect()
+        named.sort_unstable();
+        let mut out = Vec::with_capacity(named.len());
+        for (host, ty, h, t) in named {
+            let shard = self.shard_of(h, t).lock();
+            if let Some(series) = shard.series.get(&(h, t)) {
+                out.extend(summary_events_of(
+                    series,
+                    windows,
+                    now,
+                    gateway_name,
+                    host,
+                    ty,
+                ));
+            }
+        }
+        out
     }
 
     /// Total (host, event type) series tracked across all shards.

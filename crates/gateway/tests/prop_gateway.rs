@@ -310,3 +310,111 @@ fn sharded_summaries_match_the_flat_engine() {
         );
     });
 }
+
+/// A random read query: optional host and type pins (one or two of each,
+/// sometimes a host no event carries) plus an optional extra leaf.
+fn arb_read_query(g: &mut Gen) -> String {
+    let mut parts: Vec<String> = Vec::new();
+    let pins = |g: &mut Gen, key: &str, names: &[&str]| -> String {
+        let a = g.choice(names);
+        if g.bool(0.5) {
+            format!("({key}={a})")
+        } else {
+            format!("(|({key}={a})({key}={}))", g.choice(names))
+        }
+    };
+    if g.bool(0.6) {
+        parts.push(pins(g, "host", &["h1", "h2", "h3", "nowhere"]));
+    }
+    if g.bool(0.6) {
+        parts.push(pins(g, "type", &TYPES));
+    }
+    match g.usize_in(0, 5) {
+        0 => parts.push("(level>=warning)".into()),
+        1 => parts.push("(val>50)".into()),
+        2 => parts.push("(onchange)".into()),
+        3 => parts.push("(!(host=h2))".into()),
+        _ => {}
+    }
+    format!("(&{})", parts.concat())
+}
+
+/// Fact pushdown in the gateway's read path changes no answer: for random
+/// queries, `query_matching` equals a fresh plan evaluated over every
+/// cached event, and `summaries_matching` equals every summary filtered by
+/// the facts' host and type pins.  Consumers without the Query or Summary
+/// right are still denied either way.
+#[test]
+fn read_path_pushdown_equals_evaluate_everything() {
+    use jamm_auth::acl::{AccessControlList, Action, Principal};
+    use jamm_core::query::Predicate;
+    use jamm_gateway::GatewayError;
+
+    forall("gateway pushdown ≡ evaluate everything", 64, |g| {
+        let mut acl = AccessControlList::deny_by_default();
+        for (who, rights) in [
+            ("reader", vec![Action::Query, Action::Summary]),
+            ("querier", vec![Action::Query]),
+            ("summarist", vec![Action::Summary]),
+        ] {
+            acl.grant(Principal::User(who.into()), "gateway:gw", rights);
+        }
+        let gw = EventGateway::new(GatewayConfig::with_acl("gw", acl));
+        for _ in 0..g.usize_in(0, 60) {
+            gw.publish(&arb_event(g));
+        }
+        let now = Timestamp::from_secs(10_130);
+        let text = arb_read_query(g);
+        let plan = Predicate::parse(&text).unwrap().compile();
+
+        let got: Vec<Event> = gw
+            .query_matching("reader", &plan)
+            .unwrap()
+            .iter()
+            .map(|e| (**e).clone())
+            .collect();
+        let oracle = Predicate::parse(&text).unwrap().compile();
+        let mut want: Vec<Event> = Vec::new();
+        for h in HOSTS {
+            for t in TYPES {
+                if let Some(e) = gw.query("reader", h, t).unwrap() {
+                    if oracle.eval(&*e) {
+                        want.push((*e).clone());
+                    }
+                }
+            }
+        }
+        want.sort_by(|a, b| (&a.host, &a.event_type).cmp(&(&b.host, &b.event_type)));
+        assert_eq!(got, want, "live cache for {text}");
+
+        let facts = plan.facts();
+        let got = gw.summaries_matching("reader", facts, now).unwrap();
+        let want: Vec<Event> = gw
+            .summaries("reader", now)
+            .unwrap()
+            .into_iter()
+            .filter(|s| {
+                let base = s.event_type.rsplit_once("_AVG_").expect("summary type").0;
+                facts
+                    .hosts
+                    .as_ref()
+                    .is_none_or(|hs| hs.iter().any(|h| h.as_str() == s.host))
+                    && facts
+                        .types
+                        .as_ref()
+                        .is_none_or(|ts| ts.iter().any(|t| t.as_str() == base))
+            })
+            .collect();
+        assert_eq!(got, want, "summaries for {text}");
+
+        let denied = |r: Result<_, GatewayError>| matches!(r, Err(GatewayError::AccessDenied(_)));
+        assert!(denied(
+            gw.summaries_matching("querier", facts, now).map(|_| ())
+        ));
+        assert!(denied(gw.query_matching("summarist", &plan).map(|_| ())));
+        assert!(denied(gw.query_matching("stranger", &plan).map(|_| ())));
+        assert!(denied(
+            gw.summaries_matching("stranger", facts, now).map(|_| ())
+        ));
+    });
+}

@@ -13,8 +13,7 @@ use jamm_consumers::archiver::ArchiverAgent;
 use jamm_consumers::collector::EventCollector;
 use jamm_consumers::GatewayRegistry;
 use jamm_core::obs::{MetricsRegistry, MetricsSnapshot, Sample};
-use jamm_core::query::{AggRow, Aggregator, Facts, Predicate};
-use jamm_core::Sym;
+use jamm_core::query::{AggRow, Aggregator, Predicate};
 use jamm_directory::{DirectoryServer, Dn, Filter};
 use jamm_gateway::{
     EventFilter, EventGateway, GatewayConfig, PipelineTracer, QosConfig, Subscription, Tier,
@@ -1020,13 +1019,13 @@ impl JammSystem {
     ///
     /// * **live state** — every gateway's query cache (the most recent
     ///   event per series), via the same plan the gateways route with;
-    /// * **summaries** — each gateway's windowed averages, filtered by
-    ///   the plan's host/type pushdown facts (a summary for `CPU_TOTAL`
-    ///   answers a `(type=CPU_TOTAL)` query even though its synthetic
-    ///   event type is `CPU_TOTAL_AVG_1MIN`);
+    /// * **summaries** — each gateway's windowed averages of the series
+    ///   the plan's host/type pushdown facts admit (a summary for
+    ///   `CPU_TOTAL` answers a `(type=CPU_TOTAL)` query even though its
+    ///   synthetic event type is `CPU_TOTAL_AVG_1MIN`);
     /// * **history** — a materialized view when one matches the query
     ///   exactly (snapshot read, no scan), else a plan-driven archive
-    ///   scan with full segment pruning and limit pushdown.  The answer's
+    ///   scan with segment and per-word pruning and limit pushdown.  The answer's
     ///   [`QueryAnswer::history_source`] says which tier served it.
     ///
     /// Access control applies per gateway exactly as for direct queries
@@ -1052,10 +1051,8 @@ impl JammSystem {
                     .map_err(|e| QueryError::Denied(e.to_string()))?,
             );
             summaries.extend(
-                gw.summaries(consumer, now)
-                    .map_err(|e| QueryError::Denied(e.to_string()))?
-                    .into_iter()
-                    .filter(|s| summary_admitted(plan.facts(), s)),
+                gw.summaries_matching(consumer, plan.facts(), now)
+                    .map_err(|e| QueryError::Denied(e.to_string()))?,
             );
             // A continuous query materializing exactly this predicate
             // (canonical text match) answers history from its snapshot —
@@ -1123,32 +1120,6 @@ impl JammSystem {
     pub fn query_tier_stats(&self) -> &QueryTierStats {
         &self.query_tiers
     }
-}
-
-/// Does a synthetic summary event answer a query's pushdown facts?  The
-/// summary's event type is `{base}_AVG_{window}`, so the type fact matches
-/// against the base series type; the host fact matches directly.  Time
-/// bounds and severity floors are about raw events, not rollups, and are
-/// not applied here.
-fn summary_admitted(facts: &Facts, summary: &Event) -> bool {
-    if let Some(hosts) = &facts.hosts {
-        let ok = Sym::lookup(&summary.host).is_some_and(|h| hosts.contains(&h));
-        if !ok {
-            return false;
-        }
-    }
-    if let Some(types) = &facts.types {
-        let ok = types.iter().any(|t| {
-            summary
-                .event_type
-                .strip_prefix(t.as_str())
-                .is_some_and(|rest| rest.starts_with("_AVG_"))
-        });
-        if !ok {
-            return false;
-        }
-    }
-    true
 }
 
 /// What [`JammSystem::query`] returns: the same question answered by each
@@ -1618,6 +1589,43 @@ mod tests {
         assert_eq!(cont.aggregates.len(), 2);
         assert_eq!(cont.aggregates[0].host.unwrap().as_str(), "h1");
         assert_eq!(cont.aggregates[0].count, 6);
+    }
+
+    #[test]
+    fn view_served_groupby_host_equals_the_archive_scan_fold() {
+        // A view must group by what its `groupby` names, not by the
+        // (host, type) series every event arrives as.
+        let mut jamm = JammBuilder::new()
+            .gateway("gw1")
+            .archiver("archiver", "archive=main,o=grid")
+            .build()
+            .unwrap();
+        jamm.connect_archiver(vec![]);
+        let text = "(&(type=CPU_TOTAL)(groupby=host)(topk=10))";
+        jamm.register_continuous_query("by-host", text).unwrap();
+        for (i, host) in ["h1", "h2", "h3", "h1", "h2", "h1"].iter().enumerate() {
+            let mut e = ev(host, Level::Usage, 1_000 + i as u64);
+            e.fields[0].1 = jamm_ulm::Value::Float(10.0 * i as f64);
+            jamm.publish("gw1", &e);
+            let mut other = e.clone();
+            other.event_type = "MEM_FREE".into();
+            jamm.publish("gw1", &other);
+        }
+        jamm.poll();
+        jamm.gateways[0].views().flush();
+        let now = Timestamp::from_secs(1_010);
+        let answer = jamm.query("ops", text, now).unwrap();
+        assert!(matches!(
+            answer.history_source,
+            HistorySource::MaterializedView { .. }
+        ));
+        let plan = Predicate::parse(text).unwrap().compile();
+        let mut fold = Aggregator::new(plan.aggregate().unwrap().clone());
+        for e in jamm.archive.scan_plan(&plan) {
+            fold.push(&e);
+        }
+        assert_eq!(answer.aggregates, fold.rows(now.as_micros()));
+        assert!(answer.aggregates.iter().all(|r| r.event_type.is_none()));
     }
 
     #[test]

@@ -152,6 +152,12 @@ impl Peeked {
 
 /// Streaming, ordered iterator over a scan's results.
 ///
+/// Segment sources open lazily: they wait, sorted by their catalog's
+/// `min_ts`, until the merge frontier (the smallest staged head) reaches
+/// that timestamp, and only then decode their first batch.  Segments with
+/// disjoint time ranges are therefore chained one after another instead of
+/// all being primed up front and compared on every output row.
+///
 /// Owns everything it needs (`Arc` segment handles, a memtable snapshot,
 /// its own plan clone with fresh stateful memory), so it is `'static` and
 /// can outlive the store lock it was created under.
@@ -159,7 +165,11 @@ pub struct ScanIter {
     plan: Plan,
     /// How columnar segments batch-filter for this plan (see [`ColMode`]).
     mode: ColMode,
+    /// Open sources, each with a staged head.
     sources: Vec<Peeked>,
+    /// Unopened segment sources with their `min_ts`, latest first (the
+    /// next to open is at the end).
+    pending: Vec<(Timestamp, Peeked)>,
     /// Results still allowed out under the plan's limit fact (`None` =
     /// unlimited).  Hitting zero drops every remaining source.
     remaining: Option<usize>,
@@ -184,39 +194,57 @@ impl ScanIter {
         } else {
             ColMode::Superset
         };
-        let mut sources = Vec::with_capacity(cursors.len() + 1);
-        sources.push(Peeked {
+        let mut pending: Vec<(Timestamp, Peeked)> = cursors
+            .into_iter()
+            .map(|cursor| {
+                let min_ts = cursor.segment().catalog().min_ts;
+                let source = match cursor.segment().col_scan() {
+                    Some(scan) => Source::Col(Box::new(scan)),
+                    None => Source::Seg(cursor),
+                };
+                let needs_eval = !(matches!(source, Source::Col(_)) && mode == ColMode::Exact);
+                let peeked = Peeked {
+                    source,
+                    head: None,
+                    needs_eval,
+                };
+                (min_ts, peeked)
+            })
+            .collect();
+        // Latest first; the stable sort keeps store order among equal
+        // starts, so the open order is deterministic.
+        pending.sort_by_key(|(min_ts, _)| std::cmp::Reverse(*min_ts));
+        let mut mem = Peeked {
             source: Source::Mem(mem.into_iter()),
             head: None,
             needs_eval: true,
-        });
-        for cursor in cursors {
-            let source = match cursor.segment().col_scan() {
-                Some(scan) => Source::Col(Box::new(scan)),
-                None => Source::Seg(cursor),
-            };
-            let needs_eval = !(matches!(source, Source::Col(_)) && mode == ColMode::Exact);
-            sources.push(Peeked {
-                source,
-                head: None,
-                needs_eval,
-            });
-        }
-        for s in &mut sources {
-            s.advance(&plan, mode);
-        }
-        sources.retain(|s| s.head.is_some());
+        };
+        mem.advance(&plan, mode);
         let remaining = plan.limit();
         let mut iter = ScanIter {
             plan,
             mode,
-            sources,
+            sources: mem.head.is_some().then_some(mem).into_iter().collect(),
+            pending,
             remaining,
         };
         if iter.remaining == Some(0) {
             iter.sources.clear();
+            iter.pending.clear();
         }
         iter
+    }
+
+    /// Index of the open source with the smallest `(timestamp, seq)` head.
+    fn min_source(&self) -> Option<usize> {
+        self.sources
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, s)| {
+                let (ts, seq, _) = s.head.as_ref().expect("exhausted sources are dropped");
+                (*ts, *seq)
+            })
+            .map(|(i, _)| i)
     }
 }
 
@@ -225,17 +253,25 @@ impl Iterator for ScanIter {
 
     fn next(&mut self) -> Option<Event> {
         loop {
-            // K is the number of live sources (segments + memtable) —
-            // small, so a linear min scan beats heap bookkeeping.
-            let min = self
-                .sources
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, s)| {
-                    let (ts, seq, _) = s.head.as_ref().expect("exhausted sources are dropped");
-                    (*ts, *seq)
-                })
-                .map(|(i, _)| i)?;
+            // K is the number of open sources — small once disjoint
+            // segments are chained, so a linear min scan beats heap
+            // bookkeeping.
+            let min = self.min_source();
+            let frontier = min.map(|i| self.sources[i].head.as_ref().expect("staged head").0);
+            // A pending segment whose range starts at or before the
+            // frontier may hold an earlier (or tied, lower-sequence) row:
+            // open it and look again.
+            if let Some((start, _)) = self.pending.last() {
+                if frontier.is_none_or(|f| *start <= f) {
+                    let (_, mut source) = self.pending.pop().expect("checked above");
+                    source.advance(&self.plan, self.mode);
+                    if source.head.is_some() {
+                        self.sources.push(source);
+                    }
+                    continue;
+                }
+            }
+            let min = min?;
             let item = self.sources[min].head.take().expect("staged head");
             let needs_eval = self.sources[min].needs_eval;
             self.sources[min].advance(&self.plan, self.mode);
@@ -256,8 +292,7 @@ impl Iterator for ScanIter {
                     // Limit reached: release every segment handle and the
                     // memtable snapshot now; nothing more will be decoded.
                     self.sources.clear();
-                    self.remaining = Some(0);
-                    return Some(item.2);
+                    self.pending.clear();
                 }
             }
             return Some(item.2);
@@ -270,6 +305,7 @@ impl std::fmt::Debug for ScanIter {
         f.debug_struct("ScanIter")
             .field("facts", self.plan.facts())
             .field("live_sources", &self.sources.len())
+            .field("pending_sources", &self.pending.len())
             .field("remaining", &self.remaining)
             .finish()
     }
@@ -357,7 +393,54 @@ mod tests {
         assert_eq!(iter.next().map(|e| e.timestamp.as_secs()), Some(1));
         assert_eq!(iter.next().map(|e| e.timestamp.as_secs()), Some(2));
         assert_eq!(iter.sources.len(), 0, "sources dropped at the limit");
+        assert_eq!(iter.pending.len(), 0);
         assert_eq!(iter.next(), None);
+    }
+
+    #[test]
+    fn disjoint_segments_are_chained_not_merged() {
+        // Ten segments over disjoint time ranges, handed over out of order.
+        let segs: Vec<Arc<Segment>> = (0..10u64)
+            .rev()
+            .map(|s| {
+                let batch: Vec<(u64, Event)> =
+                    (0..5).map(|i| (s * 5 + i, ev(s * 100 + i, "h"))).collect();
+                Arc::new(Segment::build(s, &batch))
+            })
+            .collect();
+        let mut iter = ScanIter::new(
+            TsdbQuery::all().to_plan(),
+            Vec::new(),
+            segs.iter().map(|s| s.cursor()).collect(),
+        );
+        assert_eq!(iter.next().map(|e| e.timestamp.as_secs()), Some(0));
+        assert_eq!(iter.sources.len(), 1, "only the first segment is open");
+        assert_eq!(iter.pending.len(), 9);
+        let mut times = vec![0];
+        while let Some(e) = iter.next() {
+            times.push(e.timestamp.as_secs());
+            assert!(iter.sources.len() <= 1);
+        }
+        let want: Vec<u64> = (0..10u64)
+            .flat_map(|s| (0..5).map(move |i| s * 100 + i))
+            .collect();
+        assert_eq!(times, want);
+    }
+
+    #[test]
+    fn overlapping_pending_segment_ties_order_by_sequence() {
+        // The second segment starts exactly at the first one's timestamp
+        // with lower sequence numbers: it must open before that row is
+        // yielded.
+        let a = Arc::new(Segment::build(1, &[(10, ev(5, "a")), (11, ev(6, "a"))]));
+        let b = Arc::new(Segment::build(2, &[(3, ev(5, "b")), (4, ev(7, "b"))]));
+        let iter = ScanIter::new(
+            TsdbQuery::all().to_plan(),
+            vec![(1u64, std::sync::Arc::new(ev(5, "m")))],
+            vec![a.cursor(), b.cursor()],
+        );
+        let hosts: Vec<String> = iter.map(|e| e.host).collect();
+        assert_eq!(hosts, vec!["m", "b", "a", "a", "b"]);
     }
 
     #[test]

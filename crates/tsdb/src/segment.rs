@@ -125,8 +125,17 @@ impl SegmentCatalog {
             }
         }
         if let (Some(hosts), Some(types)) = (&facts.hosts, &facts.types) {
-            let series_hit = self.series.keys().any(|(h, t)| {
-                hosts.iter().any(|hs| hs.as_str() == h) && types.iter().any(|ts| ts.as_str() == t)
+            // One keyed lookup per required (host, type) pair, through a
+            // reused key buffer.
+            let mut key = (String::new(), String::new());
+            let series_hit = hosts.iter().any(|h| {
+                types.iter().any(|t| {
+                    key.0.clear();
+                    key.0.push_str(h.as_str());
+                    key.1.clear();
+                    key.1.push_str(t.as_str());
+                    self.series.contains_key(&key)
+                })
             });
             if !series_hit {
                 return false;
@@ -210,6 +219,10 @@ struct ColData {
     /// where each entry is `tag + payload` in row order (same encoding as
     /// the row-major generations).
     sparse: Vec<u8>,
+    /// The row directory: in memory only, never written (see
+    /// [`RowDirectory`]).  `None` only when a region outgrows `u32`
+    /// positions; such a segment scans through its row cursor.
+    dir: Option<RowDirectory>,
 }
 
 impl ColData {
@@ -233,6 +246,347 @@ impl ColData {
 fn bitmap_get(bits: &[u8], row: usize) -> bool {
     bits.get(row / 8)
         .is_some_and(|b| b & (1u8 << (row % 8)) != 0)
+}
+
+/// The 64 bits of word `w` of a byte bitmap (row `64w + i` is bit `i`),
+/// zero past the bitmap's end.
+fn bitmap_word(bits: &[u8], w: usize) -> u64 {
+    let mut out = [0u8; 8];
+    let start = (w * 8).min(bits.len());
+    let end = (start + 8).min(bits.len());
+    out[..end - start].copy_from_slice(&bits[start..end]);
+    u64::from_le_bytes(out)
+}
+
+// ---------------------------------------------------------------------------
+// Row directory
+// ---------------------------------------------------------------------------
+
+/// Rows per directory word: the unit a scan prunes, seeks to and walks.
+const WORD_ROWS: usize = 64;
+
+/// Delta-decoding state carried from one row to the next: the previous
+/// row's timestamp, timestamp delta and sequence number.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct Predictor {
+    prev_ts: u64,
+    prev_delta: u64,
+    prev_seq: u64,
+}
+
+impl Predictor {
+    /// Decode row `r`'s timestamp: the first row is a plain uvarint, the
+    /// second a uvarint delta, the rest zigzag delta-of-deltas.
+    fn ts(&mut self, data: &[u8], pos: &mut usize, r: usize) -> Result<u64> {
+        let ts = match r {
+            0 => get_uvarint(data, pos)?,
+            1 => {
+                let delta = get_uvarint(data, pos)?;
+                self.prev_delta = delta;
+                self.prev_ts.wrapping_add(delta)
+            }
+            _ => {
+                let dod = get_ivarint(data, pos)?;
+                let delta = self.prev_delta.wrapping_add(dod as u64);
+                self.prev_delta = delta;
+                self.prev_ts.wrapping_add(delta)
+            }
+        };
+        self.prev_ts = ts;
+        Ok(ts)
+    }
+
+    /// Decode the next sequence number (zigzag delta).
+    fn seq(&mut self, data: &[u8], pos: &mut usize) -> Result<u64> {
+        let seq = self.prev_seq.wrapping_add(get_ivarint(data, pos)? as u64);
+        self.prev_seq = seq;
+        Ok(seq)
+    }
+}
+
+/// Where the column cursors stand at the first row of one directory word,
+/// and the predictor state there: a scan seeks to a word without decoding
+/// any row before it.  Sparse-column positions sit beside it in
+/// [`RowDirectory::sparse`].
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct Checkpoint {
+    ts: u32,
+    seqs: u32,
+    host: u32,
+    prog: u32,
+    ty: u32,
+    vals: u32,
+    nf: u32,
+    keys: u32,
+    pred: Predictor,
+    /// Timestamp of the word's first row.
+    first_ts: u64,
+}
+
+/// The row directory of a columnar segment: what lets a scan touch only
+/// the 64-row words that can hold a match.
+///
+/// * one [`Checkpoint`] per word (every column cursor, each sparse key's
+///   position, the predictor state, the first timestamp) and the word's
+///   highest severity rank;
+/// * *postings*: for each dictionary id, the words whose host or event-type
+///   column holds it, as varint gaps.  One list serves both columns: an id
+///   that is a host in one row and a type in another gets the union, which
+///   is still a sound superset for pruning.
+///
+/// Recorded while [`Segment::build`] encodes and rebuilt by one decoding
+/// pass in [`Segment::from_bytes`]; it is derived data, so it is never
+/// written and the file format does not change.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct RowDirectory {
+    words: Vec<Checkpoint>,
+    max_level: Vec<u8>,
+    /// Sparse keys in the sparse region (and in [`ColsPos::sparse`]).
+    n_sparse: usize,
+    /// Sparse cursor positions, `n_sparse` per word.
+    sparse: Vec<u32>,
+    /// `post[post_off[id]..post_off[id + 1]]` is dictionary id `id`'s
+    /// posting list.
+    post_off: Vec<u32>,
+    post: Vec<u8>,
+}
+
+impl RowDirectory {
+    /// Heap bytes held (the memory bound the directory is sized against).
+    #[cfg(test)]
+    fn heap_bytes(&self) -> usize {
+        self.words.capacity() * std::mem::size_of::<Checkpoint>()
+            + self.max_level.capacity()
+            + self.sparse.capacity() * 4
+            + self.post_off.capacity() * 4
+            + self.post.capacity()
+    }
+
+    fn sparse_at(&self, w: usize) -> &[u32] {
+        &self.sparse[w * self.n_sparse..(w + 1) * self.n_sparse]
+    }
+
+    /// OR dictionary id `id`'s posting list into the word bitmap `bits`.
+    fn or_posting(&self, id: usize, bits: &mut [u64]) {
+        let (Some(start), Some(end)) = (self.post_off.get(id), self.post_off.get(id + 1)) else {
+            return;
+        };
+        let list = &self.post[*start as usize..*end as usize];
+        let (mut pos, mut w) = (0usize, 0u64);
+        while pos < list.len() {
+            let Ok(gap) = get_uvarint(list, &mut pos) else {
+                return;
+            };
+            w = w.saturating_add(gap);
+            if let Some(word) = bits.get_mut(w as usize / 64) {
+                *word |= 1u64 << (w % 64);
+            }
+        }
+    }
+
+    /// The words that can hold a row the facts admit, as a bitmap over the
+    /// segment's words: the catalog's four pruning tiers (time, level,
+    /// host, type) applied per word.
+    fn candidates(&self, dict: &[String], max_ts: u64, facts: &Facts) -> Vec<u64> {
+        let n = self.words.len();
+        let mut bits = vec![0u64; n.div_ceil(64)];
+        // Rows are time-sorted, so word `w` holds timestamps within
+        // `[first_ts(w), first_ts(w + 1)]` and the time tier is a range.
+        let hi = facts
+            .to_micros
+            .map_or(n, |to| self.words.partition_point(|c| c.first_ts < to));
+        let lo = match facts.from_micros {
+            None => 0,
+            Some(_) if n == 0 => 0,
+            Some(from) if max_ts < from => n,
+            Some(from) => self.words[1..].partition_point(|c| c.first_ts < from),
+        };
+        for w in lo..hi {
+            if facts
+                .level_floor
+                .is_none_or(|floor| self.max_level[w] >= floor)
+            {
+                bits[w / 64] |= 1u64 << (w % 64);
+            }
+        }
+        for syms in [&facts.hosts, &facts.types].into_iter().flatten() {
+            let names: Vec<&str> = syms.iter().map(|s| s.as_str()).collect();
+            let mut mask = vec![0u64; bits.len()];
+            for (id, entry) in dict.iter().enumerate() {
+                if names.contains(&entry.as_str()) {
+                    self.or_posting(id, &mut mask);
+                }
+            }
+            for (b, m) in bits.iter_mut().zip(&mask) {
+                *b &= *m;
+            }
+        }
+        bits
+    }
+}
+
+/// One sparse key column while [`Segment::build`] encodes.
+#[derive(Debug, Default)]
+struct SparseBuild {
+    count: u64,
+    data: Vec<u8>,
+    /// The first word whose checkpoint comes after the key's first entry.
+    first_word: usize,
+    /// `data.len()` at each checkpoint from `first_word` on.
+    marks: Vec<usize>,
+}
+
+/// Records a [`RowDirectory`] row by row, for the encoder and for the
+/// load-time rebuild alike.
+#[derive(Debug, Default)]
+struct DirBuilder {
+    dir: RowDirectory,
+    /// `(dictionary id, word)` of each id's first row in a word, in word
+    /// order: the postings before they are grouped by id.
+    sightings: Vec<(u32, u32)>,
+    /// Per dictionary id, one past the last word it was sighted in
+    /// (0 = not yet).
+    last_seen: Vec<u32>,
+    /// Set when a column position does not fit a `u32`.
+    overflow: bool,
+}
+
+impl DirBuilder {
+    /// Open a new word.  `at` holds the fixed-column positions in
+    /// [`Checkpoint`] field order.
+    fn checkpoint(&mut self, at: [usize; 8], pred: Predictor, first_ts: u64) {
+        let mut p = [0u32; 8];
+        for (out, pos) in p.iter_mut().zip(at) {
+            *out = u32::try_from(pos).unwrap_or_else(|_| {
+                self.overflow = true;
+                0
+            });
+        }
+        let [ts, seqs, host, prog, ty, vals, nf, keys] = p;
+        self.dir.words.push(Checkpoint {
+            ts,
+            seqs,
+            host,
+            prog,
+            ty,
+            vals,
+            nf,
+            keys,
+            pred,
+            first_ts,
+        });
+        self.dir.max_level.push(0);
+    }
+
+    /// Append one sparse cursor position (`n_sparse` per word, in order).
+    fn sparse_pos(&mut self, pos: usize) {
+        let pos = u32::try_from(pos).unwrap_or_else(|_| {
+            self.overflow = true;
+            0
+        });
+        self.dir.sparse.push(pos);
+    }
+
+    /// Record one row of the current word.
+    fn row(&mut self, host_ix: u64, ty_ix: u64, severity: u8) {
+        let open = self.dir.words.len() as u32;
+        let top = self.dir.max_level.last_mut().expect("a word is open");
+        *top = (*top).max(severity);
+        for id in [host_ix as usize, ty_ix as usize] {
+            if self.last_seen.len() <= id {
+                self.last_seen.resize(id + 1, 0);
+            }
+            if self.last_seen[id] != open {
+                self.last_seen[id] = open;
+                self.sightings.push((id as u32, open - 1));
+            }
+        }
+    }
+
+    /// Group the sightings by id (a counting sort keeps each id's words
+    /// in order) and gap-encode them over a dictionary of `dict_len` ids.
+    /// Every sighted id is below `dict_len`.
+    fn finish(mut self, dict_len: usize) -> Option<RowDirectory> {
+        let mut start = vec![0usize; dict_len + 1];
+        for &(id, _) in &self.sightings {
+            start[id as usize + 1] += 1;
+        }
+        for id in 0..dict_len {
+            start[id + 1] += start[id];
+        }
+        let mut next = start.clone();
+        let mut words = vec![0u32; self.sightings.len()];
+        for &(id, w) in &self.sightings {
+            words[next[id as usize]] = w;
+            next[id as usize] += 1;
+        }
+        self.dir.post_off.reserve_exact(dict_len + 1);
+        for id in 0..dict_len {
+            self.dir.post_off.push(self.dir.post.len() as u32);
+            let mut prev = 0u32;
+            for &w in &words[start[id]..start[id + 1]] {
+                put_uvarint(&mut self.dir.post, u64::from(w - prev));
+                prev = w;
+            }
+        }
+        self.dir.post_off.push(self.dir.post.len() as u32);
+        if self.overflow || u32::try_from(self.dir.post.len()).is_err() {
+            return None;
+        }
+        self.dir.words.shrink_to_fit();
+        self.dir.max_level.shrink_to_fit();
+        self.dir.sparse.shrink_to_fit();
+        self.dir.post.shrink_to_fit();
+        Some(self.dir)
+    }
+}
+
+/// Rebuild a loaded columnar segment's row directory in one decoding pass
+/// (the same positions [`Segment::build`] recorded while encoding).
+fn rebuild_directory(cols: &ColData, dict: &[String], rows: usize) -> Result<Option<RowDirectory>> {
+    let mut cp = ColsPos::init(cols)?;
+    let mut pred = Predictor::default();
+    let mut dir = DirBuilder::default();
+    dir.dir.n_sparse = cp.sparse.len();
+    for r in 0..rows {
+        let (at, before) = (cp.fixed(), pred);
+        let ts = pred.ts(&cols.ts, &mut cp.ts, r)?;
+        if r % WORD_ROWS == 0 {
+            dir.checkpoint(at, before, ts);
+            for cur in &cp.sparse {
+                dir.sparse_pos(cur.pos);
+            }
+        }
+        pred.seq(&cols.seqs, &mut cp.seqs)?;
+        let code = *cols
+            .levels
+            .get(r)
+            .ok_or(TsdbError::Corrupt("truncated level column"))?;
+        let severity = binary::level_from_code(code)
+            .map_err(|_| TsdbError::Corrupt("bad level code"))?
+            .severity();
+        let host_ix = get_uvarint(&cols.host_ix, &mut cp.host)?;
+        get_uvarint(&cols.prog_ix, &mut cp.prog)?;
+        let ty_ix = get_uvarint(&cols.type_ix, &mut cp.ty)?;
+        // Posting lists are indexed by dictionary id: bound ids read from
+        // the file before they size anything.
+        if host_ix.max(ty_ix) >= dict.len() as u64 {
+            return Err(TsdbError::Corrupt("dictionary index out of range"));
+        }
+        dir.row(host_ix, ty_ix, severity);
+        if bitmap_get(&cols.val_present, r) {
+            get_bytes::<8>(&cols.vals, &mut cp.vals)?;
+        }
+        walk_fields(
+            dict,
+            cols,
+            &mut cp,
+            None,
+            bitmap_get(&cols.val_float, r),
+            None,
+        )?;
+    }
+    Ok(dir.finish(dict.len()))
 }
 
 impl Segment {
@@ -270,10 +624,9 @@ impl Segment {
         // Per-key sparse columns accumulate out of line and are stitched
         // into the `sparse` region after the row loop; BTreeMap keeps the
         // key directory in deterministic (dictionary-index) order.
-        let mut sparse_cols: BTreeMap<u64, (u64, Vec<u8>)> = BTreeMap::new();
-        let mut prev_ts = 0u64;
-        let mut prev_delta = 0u64;
-        let mut prev_seq = 0u64;
+        let mut sparse_cols: BTreeMap<u64, SparseBuild> = BTreeMap::new();
+        let mut pred = Predictor::default();
+        let mut dir = DirBuilder::default();
         let mut min_seq = u64::MAX;
         let mut max_seq = 0u64;
         let mut hosts: BTreeMap<String, usize> = BTreeMap::new();
@@ -283,22 +636,41 @@ impl Segment {
         for (r, (seq, e)) in sorted.iter().enumerate() {
             let e = e.borrow();
             let ts = e.timestamp.as_micros();
+            if r % WORD_ROWS == 0 {
+                dir.checkpoint(
+                    [
+                        cols.ts.len(),
+                        cols.seqs.len(),
+                        cols.host_ix.len(),
+                        cols.prog_ix.len(),
+                        cols.type_ix.len(),
+                        cols.vals.len(),
+                        cols.nfields.len(),
+                        cols.keys.len(),
+                    ],
+                    pred,
+                    ts,
+                );
+                for col in sparse_cols.values_mut() {
+                    col.marks.push(col.data.len());
+                }
+            }
             match r {
                 0 => put_uvarint(&mut cols.ts, ts),
                 1 => {
-                    let delta = ts.wrapping_sub(prev_ts);
+                    let delta = ts.wrapping_sub(pred.prev_ts);
                     put_uvarint(&mut cols.ts, delta);
-                    prev_delta = delta;
+                    pred.prev_delta = delta;
                 }
                 _ => {
-                    let delta = ts.wrapping_sub(prev_ts);
-                    put_ivarint(&mut cols.ts, delta.wrapping_sub(prev_delta) as i64);
-                    prev_delta = delta;
+                    let delta = ts.wrapping_sub(pred.prev_ts);
+                    put_ivarint(&mut cols.ts, delta.wrapping_sub(pred.prev_delta) as i64);
+                    pred.prev_delta = delta;
                 }
             }
-            prev_ts = ts;
-            put_ivarint(&mut cols.seqs, seq.wrapping_sub(prev_seq) as i64);
-            prev_seq = *seq;
+            pred.prev_ts = ts;
+            put_ivarint(&mut cols.seqs, seq.wrapping_sub(pred.prev_seq) as i64);
+            pred.prev_seq = *seq;
             min_seq = min_seq.min(*seq);
             max_seq = max_seq.max(*seq);
             cols.levels.push(binary::level_code(e.level));
@@ -308,6 +680,7 @@ impl Segment {
             put_uvarint(&mut cols.prog_ix, prog_ix);
             let ty_ix = collect(&e.event_type, &mut dict, &mut sym_index);
             put_uvarint(&mut cols.type_ix, ty_ix);
+            dir.row(host_ix, ty_ix, e.level.severity());
             if let Some(v) = e.value() {
                 cols.val_present[r / 8] |= 1u8 << (r % 8);
                 cols.vals.extend_from_slice(&v.to_le_bytes());
@@ -327,8 +700,12 @@ impl Segment {
                         continue;
                     }
                 }
-                let (count, data) = sparse_cols.entry(key_ix).or_default();
-                *count += 1;
+                let col = sparse_cols.entry(key_ix).or_insert_with(|| SparseBuild {
+                    first_word: r / WORD_ROWS + 1,
+                    ..SparseBuild::default()
+                });
+                col.count += 1;
+                let data = &mut col.data;
                 match v {
                     Value::UInt(u) => {
                         data.push(TAG_UINT);
@@ -372,12 +749,27 @@ impl Segment {
             max_level = max_level.max(e.level.severity());
         }
         put_uvarint(&mut cols.sparse, sparse_cols.len() as u64);
-        for (key_ix, (count, data)) in &sparse_cols {
+        let words = dir.dir.words.len();
+        let n_sparse = sparse_cols.len();
+        let mut sparse_pos = vec![0usize; words * n_sparse];
+        for (slot, (key_ix, col)) in sparse_cols.iter().enumerate() {
             put_uvarint(&mut cols.sparse, *key_ix);
-            put_uvarint(&mut cols.sparse, *count);
-            put_uvarint(&mut cols.sparse, data.len() as u64);
-            cols.sparse.extend_from_slice(data);
+            put_uvarint(&mut cols.sparse, col.count);
+            put_uvarint(&mut cols.sparse, col.data.len() as u64);
+            // A key's column starts here; before the word after its first
+            // entry, its cursor sits at that start.
+            let base = cols.sparse.len();
+            for w in 0..words {
+                let rel = w.checked_sub(col.first_word).map_or(0, |i| col.marks[i]);
+                sparse_pos[w * n_sparse + slot] = base + rel;
+            }
+            cols.sparse.extend_from_slice(&col.data);
         }
+        dir.dir.n_sparse = n_sparse;
+        for pos in sparse_pos {
+            dir.sparse_pos(pos);
+        }
+        cols.dir = dir.finish(dict.len());
 
         Segment {
             catalog: SegmentCatalog {
@@ -439,6 +831,7 @@ impl Segment {
 
     /// True when the segment stores per-field columns (`JSG3`) rather than
     /// a legacy row-major stream.
+    #[cfg(test)]
     pub(crate) fn is_columnar(&self) -> bool {
         matches!(self.repr, Repr::Cols(_))
     }
@@ -600,7 +993,7 @@ impl Segment {
                 pos = end;
                 Ok(bytes)
             };
-            let cols = ColData {
+            let mut cols = ColData {
                 ts: region()?,
                 seqs: region()?,
                 levels: region()?,
@@ -613,10 +1006,12 @@ impl Segment {
                 nfields: region()?,
                 keys: region()?,
                 sparse: region()?,
+                dir: None,
             };
             if pos != body.len() {
                 return Err(TsdbError::Corrupt("segment data length mismatch"));
             }
+            cols.dir = rebuild_directory(&cols, &dict, event_count)?;
             Repr::Cols(Box::new(cols))
         };
         Ok(Segment {
@@ -673,11 +1068,15 @@ impl Segment {
     }
 
     /// A batched columnar scan over this segment, or `None` when the
-    /// segment is a legacy row-major one (those scan through
-    /// [`Segment::cursor`] instead).
+    /// segment is a legacy row-major one or has no row directory (those
+    /// scan through [`Segment::cursor`] instead).
     pub(crate) fn col_scan(self: &std::sync::Arc<Self>) -> Option<ColScan> {
-        self.is_columnar()
-            .then(|| ColScan::new(std::sync::Arc::clone(self)))
+        match &self.repr {
+            Repr::Cols(cols) if cols.dir.is_some() => {
+                Some(ColScan::new(std::sync::Arc::clone(self)))
+            }
+            _ => None,
+        }
     }
 
     /// Build a segment in the legacy `JSG2` row-major shape — what PR 5-era
@@ -789,9 +1188,7 @@ struct CursorState {
     /// Row-major stream position (legacy repr only).
     pos: usize,
     decoded: usize,
-    prev_ts: u64,
-    prev_delta: u64,
-    prev_seq: u64,
+    pred: Predictor,
     /// Columnar region positions, initialized on first decode of a
     /// columnar segment.
     cols: Option<Box<ColsPos>>,
@@ -809,8 +1206,10 @@ struct ColsPos {
     vals: usize,
     nf: usize,
     keys: usize,
-    /// Per-key cursor into the sparse region, keyed by dictionary index.
-    sparse: HashMap<u64, SparseCur>,
+    /// Dictionary indices of the sparse keys, ascending, and each key's
+    /// cursor into the sparse region (same order).
+    sparse_keys: Vec<u64>,
+    sparse: Vec<SparseCur>,
 }
 
 /// A cursor into one key's sparse value column.
@@ -823,10 +1222,10 @@ struct SparseCur {
 impl ColsPos {
     /// Parse the sparse-region key directory into per-key cursors.
     fn init(cols: &ColData) -> Result<ColsPos> {
-        let mut cp = ColsPos::default();
         let data: &[u8] = &cols.sparse;
         let mut pos = 0usize;
         let n_keys = get_uvarint(data, &mut pos)? as usize;
+        let mut keyed = Vec::with_capacity(n_keys.min(1 << 16));
         for _ in 0..n_keys {
             let key_ix = get_uvarint(data, &mut pos)?;
             let _n_entries = get_uvarint(data, &mut pos)?;
@@ -835,10 +1234,49 @@ impl ColsPos {
                 .checked_add(byte_len)
                 .filter(|end| *end <= data.len())
                 .ok_or(TsdbError::Corrupt("truncated sparse column"))?;
-            cp.sparse.insert(key_ix, SparseCur { pos, end });
+            keyed.push((key_ix, SparseCur { pos, end }));
             pos = end;
         }
-        Ok(cp)
+        keyed.sort_by_key(|(key_ix, _)| *key_ix);
+        Ok(ColsPos {
+            sparse_keys: keyed.iter().map(|(key_ix, _)| *key_ix).collect(),
+            sparse: keyed.into_iter().map(|(_, cur)| cur).collect(),
+            ..ColsPos::default()
+        })
+    }
+
+    /// The fixed-column positions, in [`Checkpoint`] field order.
+    fn fixed(&self) -> [usize; 8] {
+        [
+            self.ts, self.seqs, self.host, self.prog, self.ty, self.vals, self.nf, self.keys,
+        ]
+    }
+
+    /// Seek the columns a batch decodes to a word's first row.
+    fn seek_fixed(&mut self, ck: &Checkpoint) {
+        self.ts = ck.ts as usize;
+        self.seqs = ck.seqs as usize;
+        self.host = ck.host as usize;
+        self.prog = ck.prog as usize;
+        self.ty = ck.ty as usize;
+        self.vals = ck.vals as usize;
+    }
+
+    /// Seek the key lists and sparse values to a word's first row.
+    fn seek_fields(&mut self, ck: &Checkpoint, sparse: &[u32]) {
+        self.nf = ck.nf as usize;
+        self.keys = ck.keys as usize;
+        for (cur, pos) in self.sparse.iter_mut().zip(sparse) {
+            cur.pos = *pos as usize;
+        }
+    }
+
+    /// The cursor of one sparse key's column.
+    fn sparse_cur(&mut self, key_ix: u64) -> Result<&mut SparseCur> {
+        match self.sparse_keys.binary_search(&key_ix) {
+            Ok(i) => Ok(&mut self.sparse[i]),
+            Err(_) => Err(TsdbError::Corrupt("missing sparse column")),
+        }
     }
 }
 
@@ -870,34 +1308,19 @@ fn decode_event(seg: &Segment, st: &mut CursorState) -> Result<(u64, Event)> {
         Repr::Cols(_) => unreachable!("row decode on a columnar segment"),
     };
     let mut pos = st.pos;
-    let ts = match st.decoded {
-        0 => get_uvarint(data, &mut pos)?,
-        1 => {
-            let delta = get_uvarint(data, &mut pos)?;
-            st.prev_delta = delta;
-            st.prev_ts.wrapping_add(delta)
-        }
-        _ => {
-            let dod = get_ivarint(data, &mut pos)?;
-            let delta = st.prev_delta.wrapping_add(dod as u64);
-            st.prev_delta = delta;
-            st.prev_ts.wrapping_add(delta)
-        }
-    };
-    st.prev_ts = ts;
-    let dseq = get_ivarint(data, &mut pos)?;
-    let seq = st.prev_seq.wrapping_add(dseq as u64);
-    st.prev_seq = seq;
+    let mut pred = st.pred;
+    let ts = pred.ts(data, &mut pos, st.decoded)?;
+    let seq = pred.seq(data, &mut pos)?;
     let level = *data.get(pos).ok_or(TsdbError::Corrupt("truncated level"))?;
     pos += 1;
     let level = binary::level_from_code(level).map_err(|_| TsdbError::Corrupt("bad level code"))?;
-    let host = dict_str(seg, data, &mut pos)?;
-    let program = dict_str(seg, data, &mut pos)?;
-    let event_type = dict_str(seg, data, &mut pos)?;
+    let host = dict_str(&seg.dict, data, &mut pos)?;
+    let program = dict_str(&seg.dict, data, &mut pos)?;
+    let event_type = dict_str(&seg.dict, data, &mut pos)?;
     let n_fields = get_uvarint(data, &mut pos)? as usize;
     let mut fields = Vec::with_capacity(n_fields);
     for _ in 0..n_fields {
-        let key = dict_str(seg, data, &mut pos)?;
+        let key = dict_str(&seg.dict, data, &mut pos)?;
         let tag = *data.get(pos).ok_or(TsdbError::Corrupt("truncated tag"))?;
         pos += 1;
         let value = match tag {
@@ -909,12 +1332,13 @@ fn decode_event(seg: &Segment, st: &mut CursorState) -> Result<(u64, Event)> {
                 pos += 1;
                 Value::Bool(b != 0)
             }
-            TAG_STR => Value::Str(dict_str(seg, data, &mut pos)?),
+            TAG_STR => Value::Str(dict_str(&seg.dict, data, &mut pos)?),
             _ => return Err(TsdbError::Corrupt("unknown value tag")),
         };
         fields.push((key, value));
     }
     st.pos = pos;
+    st.pred = pred;
     st.decoded += 1;
     Ok((
         seq,
@@ -941,32 +1365,16 @@ fn decode_event_cols(seg: &Segment, st: &mut CursorState) -> Result<(u64, Event)
     }
     let r = st.decoded;
     let cp = st.cols.as_mut().expect("initialized above");
-    let ts = match r {
-        0 => get_uvarint(&cols.ts, &mut cp.ts)?,
-        1 => {
-            let delta = get_uvarint(&cols.ts, &mut cp.ts)?;
-            st.prev_delta = delta;
-            st.prev_ts.wrapping_add(delta)
-        }
-        _ => {
-            let dod = get_ivarint(&cols.ts, &mut cp.ts)?;
-            let delta = st.prev_delta.wrapping_add(dod as u64);
-            st.prev_delta = delta;
-            st.prev_ts.wrapping_add(delta)
-        }
-    };
-    st.prev_ts = ts;
-    let dseq = get_ivarint(&cols.seqs, &mut cp.seqs)?;
-    let seq = st.prev_seq.wrapping_add(dseq as u64);
-    st.prev_seq = seq;
+    let ts = st.pred.ts(&cols.ts, &mut cp.ts, r)?;
+    let seq = st.pred.seq(&cols.seqs, &mut cp.seqs)?;
     let level = *cols
         .levels
         .get(r)
         .ok_or(TsdbError::Corrupt("truncated level column"))?;
     let level = binary::level_from_code(level).map_err(|_| TsdbError::Corrupt("bad level code"))?;
-    let host = dict_str(seg, &cols.host_ix, &mut cp.host)?;
-    let program = dict_str(seg, &cols.prog_ix, &mut cp.prog)?;
-    let event_type = dict_str(seg, &cols.type_ix, &mut cp.ty)?;
+    let host = dict_str(&seg.dict, &cols.host_ix, &mut cp.host)?;
+    let program = dict_str(&seg.dict, &cols.prog_ix, &mut cp.prog)?;
+    let event_type = dict_str(&seg.dict, &cols.type_ix, &mut cp.ty)?;
     let val = if bitmap_get(&cols.val_present, r) {
         Some(f64::from_le_bytes(get_bytes::<8>(
             &cols.vals,
@@ -975,32 +1383,15 @@ fn decode_event_cols(seg: &Segment, st: &mut CursorState) -> Result<(u64, Event)
     } else {
         None
     };
-    let val_is_float = bitmap_get(&cols.val_float, r);
-    let n_fields = get_uvarint(&cols.nfields, &mut cp.nf)? as usize;
-    let mut fields = Vec::with_capacity(n_fields);
-    let mut saw_val = false;
-    for _ in 0..n_fields {
-        let key_ix = get_uvarint(&cols.keys, &mut cp.keys)?;
-        let key = seg
-            .dict
-            .get(key_ix as usize)
-            .cloned()
-            .ok_or(TsdbError::Corrupt("dictionary index out of range"))?;
-        if !saw_val && key == jamm_ulm::keys::VALUE {
-            saw_val = true;
-            if val_is_float {
-                let v = val.ok_or(TsdbError::Corrupt("float VAL bit without typed value"))?;
-                fields.push((key, Value::Float(v)));
-                continue;
-            }
-        }
-        let cur = cp
-            .sparse
-            .get_mut(&key_ix)
-            .ok_or(TsdbError::Corrupt("missing sparse column"))?;
-        let value = read_sparse_value(seg, &cols.sparse, cur)?;
-        fields.push((key, value));
-    }
+    let mut fields = Vec::new();
+    walk_fields(
+        &seg.dict,
+        cols,
+        cp,
+        val,
+        bitmap_get(&cols.val_float, r),
+        Some(&mut fields),
+    )?;
     st.decoded += 1;
     Ok((
         seq,
@@ -1015,8 +1406,50 @@ fn decode_event_cols(seg: &Segment, st: &mut CursorState) -> Result<(u64, Event)
     ))
 }
 
+/// Walk one row's key list and sparse values from the cursors in `cp`:
+/// push its fields onto `out` when given, else skip them with position
+/// arithmetic only (no dictionary string is cloned).  `val` is the row's
+/// typed `VAL` reading, which stands in for its first `VAL` field when
+/// `val_is_float`.
+fn walk_fields(
+    dict: &[String],
+    cols: &ColData,
+    cp: &mut ColsPos,
+    val: Option<f64>,
+    val_is_float: bool,
+    mut out: Option<&mut Vec<(String, Value)>>,
+) -> Result<()> {
+    let n_fields = get_uvarint(&cols.nfields, &mut cp.nf)? as usize;
+    if let Some(out) = out.as_deref_mut() {
+        out.reserve_exact(n_fields);
+    }
+    let mut saw_val = false;
+    for _ in 0..n_fields {
+        let key_ix = get_uvarint(&cols.keys, &mut cp.keys)?;
+        let key = dict
+            .get(key_ix as usize)
+            .ok_or(TsdbError::Corrupt("dictionary index out of range"))?;
+        if !saw_val && key == jamm_ulm::keys::VALUE {
+            saw_val = true;
+            if val_is_float {
+                if let Some(out) = out.as_deref_mut() {
+                    let v = val.ok_or(TsdbError::Corrupt("float VAL bit without typed value"))?;
+                    out.push((key.clone(), Value::Float(v)));
+                }
+                continue;
+            }
+        }
+        let cur = cp.sparse_cur(key_ix)?;
+        match out.as_deref_mut() {
+            Some(out) => out.push((key.clone(), read_sparse_value(dict, &cols.sparse, cur)?)),
+            None => skip_sparse_value(&cols.sparse, cur)?,
+        }
+    }
+    Ok(())
+}
+
 /// Read one `tag + payload` entry from a sparse column.
-fn read_sparse_value(seg: &Segment, data: &[u8], cur: &mut SparseCur) -> Result<Value> {
+fn read_sparse_value(dict: &[String], data: &[u8], cur: &mut SparseCur) -> Result<Value> {
     if cur.pos >= cur.end {
         return Err(TsdbError::Corrupt("sparse column exhausted"));
     }
@@ -1033,7 +1466,7 @@ fn read_sparse_value(seg: &Segment, data: &[u8], cur: &mut SparseCur) -> Result<
             cur.pos += 1;
             Value::Bool(b != 0)
         }
-        TAG_STR => Value::Str(dict_str(seg, data, &mut cur.pos)?),
+        TAG_STR => Value::Str(dict_str(dict, data, &mut cur.pos)?),
         _ => return Err(TsdbError::Corrupt("unknown value tag")),
     };
     Ok(value)
@@ -1070,10 +1503,9 @@ fn skip_sparse_value(data: &[u8], cur: &mut SparseCur) -> Result<()> {
 }
 
 /// Resolve a dictionary reference from a data stream.
-fn dict_str(seg: &Segment, data: &[u8], pos: &mut usize) -> Result<String> {
+fn dict_str(dict: &[String], data: &[u8], pos: &mut usize) -> Result<String> {
     let idx = get_uvarint(data, pos)? as usize;
-    seg.dict
-        .get(idx)
+    dict.get(idx)
         .cloned()
         .ok_or(TsdbError::Corrupt("dictionary index out of range"))
 }
@@ -1100,17 +1532,35 @@ pub enum ColMode {
     FactsOnly,
 }
 
-/// Rows per [`ColScan`] decode batch.
+/// Rows per [`ColScan`] decode batch: a whole number of directory words.
 const COL_BATCH: usize = 1024;
 
-/// A scan-optimized reader over one columnar segment: decodes the fixed
-/// columns a batch at a time into reusable buffers, evaluates the plan
-/// once per batch via [`Plan::eval_batch`], and materializes only the
-/// selected rows.
+/// A scan-optimized reader over one columnar segment.
+///
+/// On its first call it turns the plan's pushdown [`Facts`] into the
+/// segment's *candidate words* through the row directory — the catalog's
+/// time, level, host and type tiers applied per 64-row word.  It then
+/// seeks straight to candidate words, decodes only their fixed columns a
+/// batch at a time, evaluates the plan once per batch via
+/// [`Plan::eval_batch`], and walks key lists and sparse values only in
+/// words holding a selected row, materializing just the selected rows
+/// (late materialization).  Rejected words cost nothing.
 #[derive(Debug)]
 pub struct ColScan {
     seg: std::sync::Arc<Segment>,
-    state: CursorState,
+    /// Candidate words as a bitmap over the segment's words, computed from
+    /// the plan's facts on the first batch.
+    cands: Option<Vec<u64>>,
+    /// The next word to consider.
+    next_word: usize,
+    /// Column cursors (opened on the first batch) and predictor state; the
+    /// fixed columns stand at the first row of word `at_word`.
+    pos: Option<Box<ColsPos>>,
+    pred: Predictor,
+    at_word: usize,
+    /// Segment words decoded into the current batch, in order: batch row
+    /// `i` is row `i % 64` of word `words[i / 64]`.
+    words: Vec<usize>,
     /// Decoded fixed columns for the current batch (reused).
     ts: Vec<u64>,
     seqs: Vec<u64>,
@@ -1133,7 +1583,12 @@ impl ColScan {
     fn new(seg: std::sync::Arc<Segment>) -> ColScan {
         ColScan {
             seg,
-            state: CursorState::default(),
+            cands: None,
+            next_word: 0,
+            pos: None,
+            pred: Predictor::default(),
+            at_word: 0,
+            words: Vec::new(),
             ts: Vec::new(),
             seqs: Vec::new(),
             level_codes: Vec::new(),
@@ -1152,14 +1607,13 @@ impl ColScan {
     }
 
     /// The next row surviving the batch filter, in `(timestamp, sequence)`
-    /// order; `None` when the segment (or the plan's time window) is
-    /// exhausted.
+    /// order; `None` when no candidate word is left.
     pub fn next_match(&mut self, plan: &Plan, mode: ColMode) -> Option<Result<(u64, Event)>> {
         loop {
             if let Some(hit) = self.out.pop_front() {
                 return Some(Ok(hit));
             }
-            if self.done || self.state.decoded >= self.seg.len() {
+            if self.done {
                 return None;
             }
             if let Err(e) = self.fill_batch(plan, mode) {
@@ -1169,21 +1623,45 @@ impl ColScan {
         }
     }
 
-    /// Decode one batch of fixed columns, filter it, and materialize the
-    /// survivors into `out`.
+    /// Decode the next batch of candidate words, filter it, and
+    /// materialize the survivors into `out`; sets `done` when no candidate
+    /// word is left.
     fn fill_batch(&mut self, plan: &Plan, mode: ColMode) -> Result<()> {
         let seg = &*self.seg;
         let cols = match &seg.repr {
             Repr::Cols(cols) => cols,
             Repr::Rows(_) => unreachable!("ColScan over a row-major segment"),
         };
-        let st = &mut self.state;
-        if st.cols.is_none() {
-            st.cols = Some(Box::new(ColsPos::init(cols)?));
+        let dir = cols
+            .dir
+            .as_ref()
+            .expect("ColScan is only opened over segments with a row directory");
+        if self.pos.is_none() {
+            self.pos = Some(Box::new(ColsPos::init(cols)?));
         }
-        let base = st.decoded;
-        let n = (seg.len() - base).min(COL_BATCH);
-        let words = n.div_ceil(64);
+        let cands = self.cands.get_or_insert_with(|| {
+            dir.candidates(&seg.dict, seg.catalog.max_ts.as_micros(), plan.facts())
+        });
+
+        self.words.clear();
+        let n_words = dir.words.len();
+        let mut w = self.next_word;
+        while w < n_words && self.words.len() < COL_BATCH / WORD_ROWS {
+            let rest = cands[w / 64] >> (w % 64);
+            if rest == 0 {
+                w = (w / 64 + 1) * 64;
+                continue;
+            }
+            w += rest.trailing_zeros() as usize;
+            self.words.push(w);
+            w += 1;
+        }
+        self.next_word = w;
+        if self.words.is_empty() {
+            self.done = true;
+            return Ok(());
+        }
+
         self.ts.clear();
         self.seqs.clear();
         self.level_codes.clear();
@@ -1193,33 +1671,18 @@ impl ColScan {
         self.types.clear();
         self.vals.clear();
         self.present.clear();
-        self.present.resize(words, 0);
         self.floats.clear();
-        self.floats.resize(words, 0);
-        {
-            let cp = st.cols.as_mut().expect("initialized above");
-            for i in 0..n {
-                let r = base + i;
-                let ts = match r {
-                    0 => get_uvarint(&cols.ts, &mut cp.ts)?,
-                    1 => {
-                        let delta = get_uvarint(&cols.ts, &mut cp.ts)?;
-                        st.prev_delta = delta;
-                        st.prev_ts.wrapping_add(delta)
-                    }
-                    _ => {
-                        let dod = get_ivarint(&cols.ts, &mut cp.ts)?;
-                        let delta = st.prev_delta.wrapping_add(dod as u64);
-                        st.prev_delta = delta;
-                        st.prev_ts.wrapping_add(delta)
-                    }
-                };
-                st.prev_ts = ts;
-                self.ts.push(ts);
-                let dseq = get_ivarint(&cols.seqs, &mut cp.seqs)?;
-                let seq = st.prev_seq.wrapping_add(dseq as u64);
-                st.prev_seq = seq;
-                self.seqs.push(seq);
+        let cp = self.pos.as_mut().expect("opened above");
+        for &w in &self.words {
+            if self.at_word != w {
+                let ck = &dir.words[w];
+                cp.seek_fixed(ck);
+                self.pred = ck.pred;
+            }
+            let start = w * WORD_ROWS;
+            for r in start..(start + WORD_ROWS).min(seg.len()) {
+                self.ts.push(self.pred.ts(&cols.ts, &mut cp.ts, r)?);
+                self.seqs.push(self.pred.seq(&cols.seqs, &mut cp.seqs)?);
                 let code = *cols
                     .levels
                     .get(r)
@@ -1234,29 +1697,15 @@ impl ColScan {
                     .push(get_uvarint(&cols.prog_ix, &mut cp.prog)? as u32);
                 self.types
                     .push(get_uvarint(&cols.type_ix, &mut cp.ty)? as u32);
-                if bitmap_get(&cols.val_present, r) {
-                    self.present[i / 64] |= 1u64 << (i % 64);
-                    self.vals.push(f64::from_le_bytes(get_bytes::<8>(
-                        &cols.vals,
-                        &mut cp.vals,
-                    )?));
+                self.vals.push(if bitmap_get(&cols.val_present, r) {
+                    f64::from_le_bytes(get_bytes::<8>(&cols.vals, &mut cp.vals)?)
                 } else {
-                    self.vals.push(0.0);
-                }
-                if bitmap_get(&cols.val_float, r) {
-                    self.floats[i / 64] |= 1u64 << (i % 64);
-                }
+                    0.0
+                });
             }
-            st.decoded = base + n;
-        }
-
-        // Early stop: a sorted segment whose batch starts at or past the
-        // plan's exclusive upper time bound has nothing left to offer.
-        if let Some(to) = plan.facts().to_micros {
-            if self.ts.first().is_some_and(|first| *first >= to) {
-                self.done = true;
-                return Ok(());
-            }
+            self.present.push(bitmap_word(&cols.val_present, w));
+            self.floats.push(bitmap_word(&cols.val_float, w));
+            self.at_word = w + 1;
         }
 
         let batch = ColumnBatch {
@@ -1278,53 +1727,34 @@ impl ColScan {
             }
         }
 
-        // Late materialization: walk the rows in order (the key-list and
-        // sparse positions are strictly sequential), building an `Event`
-        // only for selected rows; rejected rows pay varint skips.
-        let cp = st.cols.as_mut().expect("initialized above");
-        for i in 0..n {
-            let n_fields = get_uvarint(&cols.nfields, &mut cp.nf)? as usize;
-            let selected = self.sel.contains(i);
-            let val_is_float = self.floats[i / 64] & (1u64 << (i % 64)) != 0;
-            let mut fields = if selected {
-                Vec::with_capacity(n_fields)
-            } else {
-                Vec::new()
-            };
-            let mut saw_val = false;
-            for _ in 0..n_fields {
-                let key_ix = get_uvarint(&cols.keys, &mut cp.keys)?;
-                let key_str = seg
-                    .dict
-                    .get(key_ix as usize)
-                    .ok_or(TsdbError::Corrupt("dictionary index out of range"))?;
-                if !saw_val && key_str == jamm_ulm::keys::VALUE {
-                    saw_val = true;
-                    if val_is_float {
-                        if selected {
-                            fields.push((key_str.clone(), Value::Float(self.vals[i])));
-                        }
-                        continue;
-                    }
-                }
-                let cur = cp
-                    .sparse
-                    .get_mut(&key_ix)
-                    .ok_or(TsdbError::Corrupt("missing sparse column"))?;
-                if selected {
-                    let value = read_sparse_value(seg, &cols.sparse, cur)?;
-                    fields.push((key_str.clone(), value));
-                } else {
-                    skip_sparse_value(&cols.sparse, cur)?;
-                }
+        // Late materialization: only words holding a selected row are
+        // walked, from their checkpoint up to their last selected row
+        // (key lists and sparse values are sequential within a word);
+        // rejected rows on the way pay varint skips.
+        let dict_at = |ix: u32| -> Result<String> {
+            seg.dict
+                .get(ix as usize)
+                .cloned()
+                .ok_or(TsdbError::Corrupt("dictionary index out of range"))
+        };
+        for (k, &mask) in self.sel.words().iter().enumerate() {
+            if mask == 0 {
+                continue;
             }
-            if selected {
-                let dict_at = |ix: u32| -> Result<String> {
-                    seg.dict
-                        .get(ix as usize)
-                        .cloned()
-                        .ok_or(TsdbError::Corrupt("dictionary index out of range"))
-                };
+            let w = self.words[k];
+            cp.seek_fields(&dir.words[w], dir.sparse_at(w));
+            let last = 63 - mask.leading_zeros() as usize;
+            for off in 0..=last {
+                let i = k * WORD_ROWS + off;
+                let bit = 1u64 << off;
+                let val_is_float = self.floats[k] & bit != 0;
+                if mask & bit == 0 {
+                    walk_fields(&seg.dict, cols, cp, None, val_is_float, None)?;
+                    continue;
+                }
+                let mut fields = Vec::new();
+                let val = (self.present[k] & bit != 0).then_some(self.vals[i]);
+                walk_fields(&seg.dict, cols, cp, val, val_is_float, Some(&mut fields))?;
                 self.out.push_back((
                     self.seqs[i],
                     Event {
@@ -1461,6 +1891,52 @@ mod tests {
         let seg = Segment::build(2, &batch);
         assert_eq!(seg.catalog().max_level, Level::Error.severity());
         assert!(seg.catalog().overlaps(warnings.facts()));
+    }
+
+    #[test]
+    fn series_tier_lookups_answer_like_the_linear_scan() {
+        use jamm_core::query::Predicate;
+        // h1 reports A and B, h2 only A: (h2, B) is a series-only miss.
+        let batch = vec![
+            (1, ev("h1", "A", 10, 0.0)),
+            (2, ev("h1", "B", 20, 0.0)),
+            (3, ev("h2", "A", 30, 0.0)),
+        ];
+        let c = Segment::build(1, &batch).catalog().clone();
+        // The series tier as it was: a walk over every catalog series.
+        let linear = |facts: &Facts| match (&facts.hosts, &facts.types) {
+            (Some(hosts), Some(types)) => c.series.keys().any(|(h, t)| {
+                hosts.iter().any(|hs| hs.as_str() == h) && types.iter().any(|ts| ts.as_str() == t)
+            }),
+            _ => true,
+        };
+        for (text, want) in [
+            ("(&(host=h1)(type=A))", true),
+            ("(&(host=h2)(type=B))", false),
+            ("(&(host=h3)(type=A))", false),
+            ("(&(host=h1)(type=C))", false),
+            ("(&(|(host=h2)(host=h3))(|(type=B)(type=A)))", true),
+            ("(&(|(host=h2)(host=h3))(type=B))", false),
+            ("(host=h2)", true),
+            ("(type=B)", true),
+        ] {
+            let plan = Predicate::parse(text).unwrap().compile();
+            assert_eq!(c.overlaps(plan.facts()), want, "{text}");
+            // Set tiers first: where they pass, the series tier decides.
+            let sets_pass = plan
+                .facts()
+                .hosts
+                .as_ref()
+                .is_none_or(|hs| hs.iter().any(|h| c.hosts.contains_key(h.as_str())))
+                && plan
+                    .facts()
+                    .types
+                    .as_ref()
+                    .is_none_or(|ts| ts.iter().any(|t| c.event_types.contains_key(t.as_str())));
+            if sets_pass {
+                assert_eq!(linear(plan.facts()), want, "{text}");
+            }
+        }
     }
 
     #[test]
@@ -1677,6 +2153,30 @@ mod tests {
     }
 
     #[test]
+    fn jsg3_bytes_written_by_build_are_unchanged() {
+        // The row directory lives in memory only: the file form of a
+        // freshly built segment must stay byte for byte what this
+        // generation of the format has always written.
+        let mut irregular = sorted_batch(700);
+        irregular[3].1.level = Level::Error;
+        irregular[130]
+            .1
+            .fields
+            .push(("EXTRA".into(), Value::Str("x".into())));
+        for (i, (_, e)) in irregular.iter_mut().enumerate() {
+            e.timestamp = Timestamp::from_micros(5_000_000 + (i as u64 * 7919) % 1_000);
+        }
+        irregular.sort_by_key(|(seq, e)| (e.timestamp, *seq));
+        for (batch, want) in [
+            (sorted_batch(200), 4120217992527149459u64),
+            (irregular, 8990974577409860484),
+        ] {
+            let bytes = Segment::build(5, &batch).to_bytes();
+            assert_eq!(fnv64(&bytes), want, "{} rows", batch.len());
+        }
+    }
+
+    #[test]
     fn col_scan_matches_cursor_under_every_mode() {
         use jamm_core::query::Predicate;
         let mut batch = sorted_batch(300);
@@ -1709,6 +2209,140 @@ mod tests {
             }
             // Columnar: batch filter + (except Exact) row re-check, the
             // same shape ScanIter runs.
+            let mut scan = seg.col_scan().expect("columnar");
+            let col_plan = plan.clone();
+            let mut got = Vec::new();
+            while let Some(item) = scan.next_match(&col_plan, mode) {
+                let (seq, e) = item.unwrap();
+                if mode == ColMode::Exact || col_plan.eval(&e) {
+                    got.push((seq, e));
+                }
+            }
+            assert_eq!(got, want, "{text}");
+        }
+    }
+
+    fn dir_of(seg: &Segment) -> &RowDirectory {
+        match &seg.repr {
+            Repr::Cols(cols) => cols.dir.as_ref().expect("directory"),
+            Repr::Rows(_) => panic!("row-major segment"),
+        }
+    }
+
+    /// A fleet-shaped step: every (host, type) series reporting once, all
+    /// at one timestamp, in publish order (host-major).
+    fn fleet_step(hosts: usize, types: usize, step: u64) -> Vec<(u64, Event)> {
+        let ts = Timestamp::from_secs(954_374_400 + step * 10);
+        (0..hosts * types)
+            .map(|i| {
+                let e = Event::builder(
+                    "synth",
+                    format!("h{:03}.site{}.grid", i / types, (i / types) % 8),
+                )
+                .level(if i % 97 == 0 {
+                    Level::Error
+                } else {
+                    Level::Usage
+                })
+                .event_type(format!("TYPE_{:02}", i % types))
+                .timestamp(ts)
+                .field(jamm_ulm::keys::SENSOR, "synth")
+                .value((i % 100) as f64)
+                .build();
+                (step * 1_000_000 + i as u64, e)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn directory_rebuilt_at_load_equals_the_one_recorded_while_encoding() {
+        // Sparse keys that first appear mid-segment, in a later word, and
+        // not at all in some words; a partial last word; irregular time.
+        let mut batch = sorted_batch(333);
+        for (i, (_, e)) in batch.iter_mut().enumerate() {
+            if i >= 150 && i % 5 == 0 {
+                e.fields.push(("LATE".into(), Value::UInt(i as u64)));
+            }
+            if i % 70 == 3 {
+                e.fields.insert(0, ("VAL".into(), Value::Int(-(i as i64))));
+            }
+            e.timestamp =
+                Timestamp::from_micros(1_000 + (i as u64).pow(2) % 50_000 + i as u64 * 60_000);
+        }
+        batch.sort_by_key(|(seq, e)| (e.timestamp, *seq));
+        for batch in [batch, sorted_batch(1), sorted_batch(64), sorted_batch(65)] {
+            let seg = Segment::build(2, &batch);
+            let back = Segment::from_bytes(&seg.to_bytes()).unwrap();
+            assert_eq!(dir_of(&back), dir_of(&seg), "{} rows", batch.len());
+            assert_eq!(dir_of(&seg).words.len(), batch.len().div_ceil(WORD_ROWS));
+        }
+    }
+
+    #[test]
+    fn directory_costs_at_most_two_bytes_per_row_on_the_fleet_shape() {
+        let batch = fleet_step(256, 16, 7);
+        let seg = Segment::build(1, &batch);
+        let per_row = dir_of(&seg).heap_bytes() as f64 / seg.len() as f64;
+        assert!(per_row <= 2.0, "{per_row:.3} bytes per row");
+        // Each host's rows share one word; each type is in every word.
+        let dir = dir_of(&seg);
+        let words_of = |name: &str| {
+            let id = seg.dict.iter().position(|d| d == name).unwrap();
+            let mut bits = vec![0u64; dir.words.len().div_ceil(64)];
+            dir.or_posting(id, &mut bits);
+            bits.iter().map(|b| b.count_ones()).sum::<u32>()
+        };
+        assert_eq!(words_of("h005.site5.grid"), 1);
+        assert_eq!(words_of("TYPE_03"), 64);
+    }
+
+    #[test]
+    fn per_word_pruning_matches_the_cursor_oracle() {
+        use jamm_core::query::Predicate;
+        // Several fleet steps in one segment, then shuffled arrival order
+        // within each timestamp so series are not contiguous.
+        let mut batch: Vec<(u64, Event)> = (0..3).flat_map(|s| fleet_step(20, 7, s)).collect();
+        let n = batch.len();
+        for i in 0..n {
+            let j = (i * 7919 + 13) % n;
+            let (si, sj) = (batch[i].0, batch[j].0);
+            batch[i].0 = sj;
+            batch[j].0 = si;
+        }
+        batch.sort_by_key(|(seq, e)| (e.timestamp, *seq));
+        let seg = Arc::new(Segment::build(1, &batch));
+        let t1 = 954_374_410;
+        for text in [
+            "(&)".to_string(),
+            "(&(host=h003.site3.grid)(type=TYPE_02))".to_string(),
+            "(|(host=h001.site1.grid)(host=h017.site1.grid))".to_string(),
+            "(type=TYPE_06)".to_string(),
+            "(level>=error)".to_string(),
+            format!("(&(time>={t1}s)(time<{}s))", t1 + 10),
+            format!("(&(host=h004.site4.grid)(time>={t1}s))"),
+            format!("(&(type=TYPE_01)(time<{t1}s)(val>=40))"),
+            "(&(type=TYPE_05)(onchange))".to_string(),
+            "(&(host=h002.site2.grid)(sensor=synth))".to_string(),
+            "(host=nowhere)".to_string(),
+            "(limit=5)".to_string(),
+        ] {
+            let plan = Predicate::parse(&text).unwrap().compile();
+            let mode = if plan.is_stateful() {
+                ColMode::FactsOnly
+            } else if plan.batch_definite() {
+                ColMode::Exact
+            } else {
+                ColMode::Superset
+            };
+            let oracle = plan.clone();
+            let mut cur = seg.cursor();
+            let mut want = Vec::new();
+            while let Some(item) = cur.next_event() {
+                let (seq, e) = item.unwrap();
+                if oracle.eval(&e) {
+                    want.push((seq, e));
+                }
+            }
             let mut scan = seg.col_scan().expect("columnar");
             let col_plan = plan.clone();
             let mut got = Vec::new();
